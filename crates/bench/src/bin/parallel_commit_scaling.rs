@@ -6,8 +6,7 @@
 //! The *sequential* baseline is the shipped single-threaded hot path: the
 //! batched MVCC scan in block order, then one `apply_write_batch`. The
 //! *lanes* path partitions each block into dependency chains (union-find
-//! over the interned read/write sets — the same analysis the sealer's
-//! `DependencyHints` carry), validates independent chains concurrently on
+//! over the interned read/write sets), validates independent chains concurrently on
 //! `commit_lanes` persistent worker lanes, and installs the write batch's
 //! shard groups on the same lanes. The conflict-rate knob steers how many
 //! transactions share keys: at 0.0 every transaction is its own chain
@@ -153,9 +152,7 @@ fn run_sequential(
 }
 
 /// The lane path exactly as a lane-configured peer runs it: partition +
-/// lane-parallel MVCC, then the lane-parallel shard install. No hints
-/// (the bench has no sealer) — the scheduler rebuilds the partition, the
-/// path conformance proves identical to the hinted one.
+/// lane-parallel MVCC, then the lane-parallel shard install.
 fn run_lanes(
     store: &dyn StateStore,
     blocks: &[Block],
@@ -169,7 +166,7 @@ fn run_lanes(
     for block in blocks {
         let mut codes = Vec::with_capacity(block.txs.len());
         let occ = sched
-            .validate(block, store, &endorsement_ok[..block.txs.len()], None, &mut codes, &sink)
+            .validate(block, store, &endorsement_ok[..block.txs.len()], &mut codes, &sink)
             .unwrap();
         store.counters().record_lane_commit(occ.lanes_used, occ.chain_serializations);
         apply(store, block, &codes, Some(sched));

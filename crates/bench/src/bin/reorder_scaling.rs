@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use fabric_bench::runner::print_row;
 use fabric_common::rwset::RwSetBuilder;
 use fabric_common::{
-    default_reorder_workers, ChannelId, ClientId, Key, PipelineConfig, Transaction, TxId, Value,
+    available_parallelism, ChannelId, ClientId, Key, PipelineConfig, Transaction, TxId, Value,
     Version,
 };
 use fabric_ordering::{CutReason, OrderingService, PreparedBatch, ReorderPipeline};
@@ -163,7 +163,7 @@ fn main() {
         config.max_cycles,
         config.max_scc_for_enumeration,
         config.reorder_workers,
-        default_reorder_workers(),
+        available_parallelism(),
     );
     let worker_sweep: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     differential_check(&config, worker_sweep);

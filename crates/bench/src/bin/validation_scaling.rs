@@ -26,7 +26,7 @@ use fabric_bench::{
 };
 use fabric_common::rwset::{rwset_from_keys, ReadWriteSet};
 use fabric_common::{
-    default_validation_workers, ChannelId, ClientId, CostModel, Digest, Endorsement, Key, OrgId,
+    available_parallelism, ChannelId, ClientId, CostModel, Digest, Endorsement, Key, OrgId,
     PeerId, PipelineConfig, SignerRegistry, SigningKey, Transaction, TxId, Value, Version,
 };
 use fabric_ledger::Block;
@@ -184,5 +184,5 @@ fn main() {
     for (label, phases) in &phase_tables {
         print_phase_table(label, phases);
     }
-    println!("# available parallelism on this host: {}", default_validation_workers());
+    println!("# available parallelism on this host: {}", available_parallelism());
 }

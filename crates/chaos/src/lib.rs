@@ -14,15 +14,16 @@
 //! * [`invariants`] — post-run checks: state convergence across live
 //!   peers, ledger hash-chain verification, and no-committed-tx-loss
 //!   across crash/restart;
-//! * [`harness`] — [`harness::ChaosNet`], a deterministic single-threaded
-//!   network of peers with optional durable block logs, driven
-//!   block-by-block under a fault plan, with crash/restart orchestration
-//!   through `fabric_peer::recovery` and archive catch-up. Built with
-//!   [`harness::ChaosNet::new_replicated`], the single ordering process
-//!   becomes a [`fabric_consensus::OrdererGroup`] whose propose/vote/
-//!   commit traffic runs through the same injector, so leader crashes,
-//!   consensus partitions, and equivocation are chaos-testable with the
-//!   same seeded determinism.
+//! * [`harness`] — [`harness::ChaosNet`], the repository's one
+//!   deterministic single-threaded driver: a network of peers with
+//!   optional durable block logs, driven block-by-block under a fault plan
+//!   ([`plan::FaultPlan::quiescent`] for plain scripted scenarios), with
+//!   crash/restart orchestration through `fabric_peer::recovery` and
+//!   archive catch-up. With [`harness::ChaosOptions::replicas`] set, the
+//!   single ordering process becomes a [`fabric_consensus::OrdererGroup`]
+//!   whose propose/vote/commit traffic runs through the same injector, so
+//!   leader crashes, consensus partitions, and equivocation are
+//!   chaos-testable with the same seeded determinism.
 //!
 //! The same injector also plugs into the threaded runtime via
 //! [`fabricpp::NetworkBuilder::fault_hook`], where wall-clock scheduling
@@ -36,7 +37,7 @@ pub mod plan;
 pub mod rng;
 
 pub use fabric_consensus::{Equivocation, OrdererCrash};
-pub use harness::{ChaosNet, ChaosOptions};
+pub use harness::{ChaosNet, ChaosOptions, ProposeOutcome};
 pub use injector::{FaultEvent, FaultInjector};
 pub use invariants::{check_invariants, state_digest, InvariantReport};
 pub use plan::{CrashPoint, FaultPlan, Partition, WalFault};

@@ -183,20 +183,9 @@ pub struct PipelineConfig {
 }
 
 /// The host's available parallelism (1 if it cannot be determined) — the
-/// default for [`PipelineConfig::validation_workers`].
-pub fn default_validation_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The host's available parallelism (1 if it cannot be determined) — the
-/// default for [`PipelineConfig::reorder_workers`].
-pub fn default_reorder_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The host's available parallelism (1 if it cannot be determined) — the
-/// default for [`PipelineConfig::commit_lanes`].
-pub fn default_commit_lanes() -> usize {
+/// default for [`PipelineConfig::validation_workers`],
+/// [`PipelineConfig::reorder_workers`] and [`PipelineConfig::commit_lanes`].
+pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -216,9 +205,9 @@ impl PipelineConfig {
             cutting: BlockCuttingConfig { max_unique_keys: None, ..Default::default() },
             max_cycles: 4096,
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
-            validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
+            validation_workers: available_parallelism(),
+            reorder_workers: available_parallelism(),
+            commit_lanes: available_parallelism(),
         }
     }
 
@@ -232,9 +221,9 @@ impl PipelineConfig {
             cutting: BlockCuttingConfig::default(),
             max_cycles: 4096,
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
-            validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
+            validation_workers: available_parallelism(),
+            reorder_workers: available_parallelism(),
+            commit_lanes: available_parallelism(),
         }
     }
 
@@ -248,9 +237,9 @@ impl PipelineConfig {
             cutting: BlockCuttingConfig::default(),
             max_cycles: 4096,
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
-            validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
+            validation_workers: available_parallelism(),
+            reorder_workers: available_parallelism(),
+            commit_lanes: available_parallelism(),
         }
     }
 
@@ -264,9 +253,9 @@ impl PipelineConfig {
             cutting: BlockCuttingConfig::default(),
             max_cycles: 4096,
             max_scc_for_enumeration: DEFAULT_MAX_SCC_FOR_ENUMERATION,
-            validation_workers: default_validation_workers(),
-            reorder_workers: default_reorder_workers(),
-            commit_lanes: default_commit_lanes(),
+            validation_workers: available_parallelism(),
+            reorder_workers: available_parallelism(),
+            commit_lanes: available_parallelism(),
         }
     }
 
@@ -427,7 +416,7 @@ mod tests {
     #[test]
     fn reorder_workers_default_and_knob() {
         let c = PipelineConfig::fabric_pp();
-        assert_eq!(c.reorder_workers, default_reorder_workers());
+        assert_eq!(c.reorder_workers, available_parallelism());
         assert!(c.reorder_workers >= 1);
         assert_eq!(c.max_scc_for_enumeration, DEFAULT_MAX_SCC_FOR_ENUMERATION);
         let c = c.with_reorder_workers(4).with_max_scc_for_enumeration(64);
@@ -443,7 +432,7 @@ mod tests {
     #[test]
     fn commit_lanes_default_and_knob() {
         let c = PipelineConfig::fabric_pp();
-        assert_eq!(c.commit_lanes, default_commit_lanes());
+        assert_eq!(c.commit_lanes, available_parallelism());
         assert!(c.commit_lanes >= 1);
         let c = c.with_commit_lanes(4);
         assert_eq!(c.commit_lanes, 4);
@@ -455,7 +444,7 @@ mod tests {
     #[test]
     fn validation_workers_default_and_knob() {
         let c = PipelineConfig::fabric_pp();
-        assert_eq!(c.validation_workers, default_validation_workers());
+        assert_eq!(c.validation_workers, available_parallelism());
         assert!(c.validation_workers >= 1);
         let c = c.with_validation_workers(4);
         assert_eq!(c.validation_workers, 4);

@@ -22,7 +22,8 @@
 //! * [`intern`] — dense `u32` key interning shared by the ordering-phase
 //!   early abort and the reorderer's conflict-graph build.
 //! * [`metrics`] — atomic throughput counters and a latency recorder that
-//!   reproduces the min/max/avg latency rows of the paper's Table 8.
+//!   reproduces the min/max/avg latency rows of the paper's Table 8, plus
+//!   the Prometheus label escaper both text exporters share.
 //! * [`gauges`] — shared subsystem gauge cells (cutter queue, validation
 //!   pool, consensus wire) sampled per window by the telemetry layer.
 //! * [`config`] — block-cutting and pipeline configuration shared between the
@@ -39,7 +40,6 @@ pub mod crypto;
 pub mod error;
 pub mod gauges;
 pub mod hash;
-pub mod hints;
 pub mod ids;
 pub mod intern;
 pub mod lanes;
@@ -49,19 +49,18 @@ pub mod tx;
 
 pub use bitset::BitSet;
 pub use config::{
-    default_commit_lanes, default_reorder_workers, default_validation_workers, BlockCuttingConfig,
-    ConcurrencyMode, CostModel, OrderingPolicy, PipelineConfig, DEFAULT_MAX_SCC_FOR_ENUMERATION,
+    available_parallelism, BlockCuttingConfig, ConcurrencyMode, CostModel, OrderingPolicy,
+    PipelineConfig, DEFAULT_MAX_SCC_FOR_ENUMERATION,
 };
 pub use crypto::{Signature, SignerRegistry, SigningKey};
 pub use error::{Error, Result};
 pub use hash::{sha256, Digest};
-pub use hints::{DependencyHints, DependencyHintsBuilder};
 pub use ids::{BlockNum, ChannelId, ClientId, Key, OrgId, PeerId, TxId, TxNum, Value, Version};
 pub use intern::KeyTable;
 pub use lanes::{LaneJob, LanePool};
 pub use gauges::{GaugeStats, SubsystemGauges};
 pub use metrics::{
-    LatencyBaseline, LatencyRecorder, LatencySummary, Phase, PhaseSummary, PhaseTimers,
+    escape_label_value, LatencyBaseline, LatencyRecorder, LatencySummary, Phase, PhaseSummary, PhaseTimers,
     StoreCounters, StoreStats, TxCounters, TxStats, WindowLatency,
 };
 pub use rwset::{ReadSet, ReadWriteSet, WriteSet};

@@ -15,6 +15,24 @@ use parking_lot::Mutex;
 
 use crate::tx::ValidationCode;
 
+/// Escapes a Prometheus label value per the text exposition format
+/// (0.0.4): backslash, double quote, and newline must be backslash-escaped
+/// inside the quotes, otherwise a hostile or merely unlucky label (a key
+/// name containing `"` or a newline) corrupts the whole document. Shared
+/// by the trace and telemetry exporters.
+pub fn escape_label_value(v: &str) -> String {
+    let mut out = String::with_capacity(v.len());
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Atomic per-outcome transaction counters; cheap to clone (shared).
 #[derive(Clone, Debug, Default)]
 pub struct TxCounters {
@@ -848,6 +866,14 @@ impl PhaseSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn label_values_are_escaped_per_the_exposition_format() {
+        assert_eq!(escape_label_value("plain"), "plain");
+        assert_eq!(escape_label_value("a\"b"), "a\\\"b");
+        assert_eq!(escape_label_value("a\\b"), "a\\\\b");
+        assert_eq!(escape_label_value("a\nb"), "a\\nb");
+    }
 
     #[test]
     fn counters_track_outcomes() {

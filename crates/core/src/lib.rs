@@ -48,9 +48,9 @@
 //!   one validation thread per peer, wired over the simulated network.
 //! * [`network`] — [`NetworkBuilder`] / [`FabricNetwork`]: organizations,
 //!   peers, channels, chaincode deployment, genesis state, reporting.
-//! * [`sync`] — a single-threaded, fully deterministic harness over the
-//!   same components, used by integration tests to script exact scenarios
-//!   (e.g. the paper's Appendix A running example).
+//!
+//! The single-threaded deterministic driver over the same components
+//! (`ChaosNet`) lives in the `fabric-chaos` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,11 +58,9 @@
 pub mod channel;
 pub mod client;
 pub mod network;
-pub mod sync;
 
 pub use client::{ClientHandle, SubmitOutcome};
 pub use network::{FabricNetwork, NetworkBuilder, RunReport, StateEngine};
-pub use sync::SyncNet;
 
 use std::sync::Arc;
 

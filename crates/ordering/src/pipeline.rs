@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use fabric_common::{default_reorder_workers, Transaction};
+use fabric_common::{available_parallelism, Transaction};
 
 use crate::cutter::CutReason;
 use crate::orderer::{BatchPlan, BatchPrep, PrepScratch};
@@ -95,7 +95,7 @@ impl ReorderPipeline {
     /// [`sequential`](Self::sequential): one worker buys no overlap, so
     /// the inline mode's determinism is preferable.
     pub fn new(prep: BatchPrep, workers: usize) -> Self {
-        let workers = if workers == 0 { default_reorder_workers() } else { workers };
+        let workers = if workers == 0 { available_parallelism() } else { workers };
         if workers <= 1 {
             return Self::sequential(prep);
         }
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn zero_workers_uses_available_parallelism() {
         let pipeline = ReorderPipeline::new(BatchPrep::new(&cfg()), 0);
-        assert_eq!(pipeline.workers(), default_reorder_workers().max(1));
+        assert_eq!(pipeline.workers(), available_parallelism().max(1));
     }
 
     #[test]

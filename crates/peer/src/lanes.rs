@@ -13,15 +13,9 @@
 //! read traffic) while conflict-free spans of the block validate in
 //! parallel.
 //!
-//! ## Hints: reusing the orderer's conflict analysis
-//!
-//! When the block arrives with [`DependencyHints`] (sealed locally by the
-//! reorder stage and carried through the process — never serialized), the
-//! partition reuses the orderer's interned key ids and dependency edges
-//! instead of re-hashing a single key. Without hints (recovery, archive
-//! catch-up, delayed delivery) the scheduler re-interns from the block's
-//! read/write sets; both paths produce the same components and the same
-//! validation output — the conformance matrix's `commit_lanes` cells and
+//! The scheduler interns the block's read/write sets itself, in the same
+//! first-seen order as the sequential validator, so both paths issue the
+//! same store reads — the conformance matrix's `commit_lanes` cells and
 //! the differential proptests prove the equivalence byte for byte.
 //!
 //! ## Why components, not just non-adjacent transactions
@@ -50,9 +44,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use fabric_common::{
-    DependencyHints, Key, KeyTable, LaneJob, LanePool, Result, TxId, ValidationCode, Version,
-};
+use fabric_common::{Key, KeyTable, LaneJob, LanePool, Result, TxId, ValidationCode, Version};
 use fabric_ledger::Block;
 use fabric_statedb::StateStore;
 use fabric_trace::{EventKind, TraceSink};
@@ -118,8 +110,7 @@ impl LaneScheduler {
     }
 
     /// Lane-parallel MVCC validation of `block`: partitions into
-    /// dependency chains (from `hints` when they cover the block, else by
-    /// re-interning the read/write sets), prefetches the store versions
+    /// dependency chains over the interned read/write sets, prefetches the store versions
     /// with the same single batched read as the sequential pass, runs the
     /// chains on the lanes, and writes one [`ValidationCode`] per
     /// transaction into `codes` — bit-identical to
@@ -130,14 +121,13 @@ impl LaneScheduler {
         block: &Block,
         store: &dyn StateStore,
         endorsement_ok: &[bool],
-        hints: Option<&DependencyHints>,
         codes: &mut Vec<ValidationCode>,
         sink: &TraceSink,
     ) -> Result<LaneOccupancy> {
         let _serial = self.gate.lock();
         {
             let mut st = self.job.state.write();
-            st.fill(block, endorsement_ok, hints, self.pool.lanes());
+            st.fill(block, endorsement_ok, self.pool.lanes());
             // Split borrow: the prefetch fills `fetched` from `probe_keys`.
             let LaneState { probe_keys, fetched, .. } = &mut *st;
             store.multi_get_versions_into(probe_keys, fetched)?;
@@ -176,9 +166,7 @@ impl LaneJob for MvccLaneJob {
 /// Local key ids are dense `u32`s: read keys first (`0..probe_len`, in
 /// first-seen scan order over endorsed transactions — the exact id/probe
 /// correspondence of [`crate::validator::MvccScratch`]), write-only keys
-/// after. The hint path maps the orderer's interned ids onto this space
-/// with one table lookup per entry; the rebuild path hashes through the
-/// [`KeyTable`].
+/// after, hashed through the [`KeyTable`].
 #[derive(Default)]
 struct LaneState {
     /// Transactions in the block.
@@ -197,10 +185,8 @@ struct LaneState {
     write_ids: Vec<u32>,
     /// Raw [`TxId`] per block position (the traced conflict witness).
     tx_raw: Vec<u64>,
-    /// Rebuild-path interner (unused when hints cover the block).
+    /// Block-local key interner.
     keys: KeyTable,
-    /// Hint-id → local-id map (hint path only).
-    hint_map: Vec<u32>,
     /// Distinct read keys in local-id order; the block's whole store read.
     probe_keys: Vec<Key>,
     probe_len: usize,
@@ -235,18 +221,6 @@ struct LaneState {
     fail_writer: Vec<AtomicU64>,
     /// Per-lane "claimed at least one chain" flags.
     lane_hits: Vec<AtomicU64>,
-}
-
-/// Whether `hints` structurally cover `block`: one row per transaction,
-/// row lengths matching the read/write sets entry for entry. Hints that
-/// fail this (they never should — it would mean a seal/delivery mismatch)
-/// are ignored and the block is re-interned.
-fn hints_cover(h: &DependencyHints, block: &Block) -> bool {
-    h.len() == block.txs.len()
-        && block.txs.iter().enumerate().all(|(p, tx)| {
-            h.reads(p).len() == tx.rwset.reads.entries().len()
-                && h.writes(p).len() == tx.rwset.writes.entries().len()
-        })
 }
 
 fn find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -284,7 +258,6 @@ impl LaneState {
         &mut self,
         block: &Block,
         endorsement_ok: &[bool],
-        hints: Option<&DependencyHints>,
         lanes: usize,
     ) {
         let n = block.txs.len();
@@ -302,13 +275,8 @@ impl LaneState {
         self.tx_raw.clear();
         self.probe_keys.clear();
 
-        let hints = hints.filter(|h| hints_cover(h, block));
-        let n_keys = match hints {
-            Some(h) => self.intern_from_hints(block, endorsement_ok, h),
-            None => self.intern_from_rwsets(block, endorsement_ok),
-        };
-
-        self.partition(endorsement_ok, hints, n_keys);
+        let n_keys = self.intern_from_rwsets(block, endorsement_ok);
+        self.partition(endorsement_ok, n_keys);
 
         // Atomic working cells: size for this block, reset what must be.
         if self.codes.len() < n {
@@ -334,53 +302,8 @@ impl LaneState {
         self.cursor.store(0, Ordering::Relaxed);
     }
 
-    /// Hint path: one table lookup per entry, no hashing. Local ids are
-    /// assigned in the same first-seen scan order as the rebuild path, so
-    /// both paths produce identical probe lists and id spaces.
-    fn intern_from_hints(
-        &mut self,
-        block: &Block,
-        endorsement_ok: &[bool],
-        h: &DependencyHints,
-    ) -> usize {
-        self.hint_map.clear();
-        self.hint_map.resize(h.n_keys() as usize, u32::MAX);
-        let mut next = 0u32;
-        for (p, (tx, &ok)) in block.txs.iter().zip(endorsement_ok).enumerate() {
-            if ok {
-                for (e, &hid) in tx.rwset.reads.entries().iter().zip(h.reads(p)) {
-                    let slot = &mut self.hint_map[hid as usize];
-                    if *slot == u32::MAX {
-                        *slot = next;
-                        next += 1;
-                        self.probe_keys.push(e.key.clone());
-                    }
-                    self.read_ids.push(*slot);
-                    self.read_vers.push(e.version);
-                }
-            }
-            self.read_off.push(self.read_ids.len() as u32);
-            self.tx_raw.push(tx.id.raw());
-        }
-        self.probe_len = next as usize;
-        for (p, &ok) in endorsement_ok.iter().enumerate() {
-            if ok {
-                for &hid in h.writes(p) {
-                    let slot = &mut self.hint_map[hid as usize];
-                    if *slot == u32::MAX {
-                        *slot = next;
-                        next += 1;
-                    }
-                    self.write_ids.push(*slot);
-                }
-            }
-            self.write_off.push(self.write_ids.len() as u32);
-        }
-        next as usize
-    }
-
-    /// Rebuild path (no hints): intern reads then writes, exactly the
-    /// sequential validator's two-pass scheme.
+    /// Interns reads then writes, exactly the sequential validator's
+    /// two-pass scheme.
     fn intern_from_rwsets(&mut self, block: &Block, endorsement_ok: &[bool]) -> usize {
         self.keys.clear();
         for (tx, &ok) in block.txs.iter().zip(endorsement_ok) {
@@ -412,17 +335,10 @@ impl LaneState {
     /// Union-find partition into dependency chains, then the chain CSR.
     ///
     /// Pass A unions co-writers of each key (through its first writer);
-    /// pass B unions each reader with its key's writers — via the carried
-    /// dependency edges when present (each edge names a writer→reader
-    /// pair, and pass A already connected the co-writers), else by
-    /// scanning the read rows against the first-writer table. Both forms
-    /// produce identical components.
-    fn partition(
-        &mut self,
-        endorsement_ok: &[bool],
-        hints: Option<&DependencyHints>,
-        n_keys: usize,
-    ) {
+    /// pass B unions each reader with its key's first writer by scanning
+    /// the read rows against the first-writer table (pass A already
+    /// connected the co-writers).
+    fn partition(&mut self, endorsement_ok: &[bool], n_keys: usize) {
         let n = self.n;
         let LaneState {
             parent,
@@ -459,23 +375,14 @@ impl LaneState {
         }
 
         // Pass B: each reader joins its key's writer component.
-        match hints {
-            Some(h) if !h.edges().is_empty() => {
-                for &(w, r) in h.edges() {
-                    union(parent, w, r);
-                }
+        for (p, &ok) in endorsement_ok.iter().enumerate() {
+            if !ok {
+                continue;
             }
-            _ => {
-                for (p, &ok) in endorsement_ok.iter().enumerate() {
-                    if !ok {
-                        continue;
-                    }
-                    for &id in &read_ids[read_off[p] as usize..read_off[p + 1] as usize] {
-                        let fw = first_writer[id as usize];
-                        if fw != u32::MAX {
-                            union(parent, p as u32, fw);
-                        }
-                    }
+            for &id in &read_ids[read_off[p] as usize..read_off[p + 1] as usize] {
+                let fw = first_writer[id as usize];
+                if fw != u32::MAX {
+                    union(parent, p as u32, fw);
                 }
             }
         }
@@ -693,7 +600,7 @@ mod tests {
         let mut lane_codes = Vec::new();
         let lane_sink = TraceSink::enabled();
         let occ = sched
-            .validate(&block, &db, &endorsed, None, &mut lane_codes, &lane_sink)
+            .validate(&block, &db, &endorsed, &mut lane_codes, &lane_sink)
             .unwrap();
         assert_eq!(lane_codes, seq_codes, "codes diverge at {lanes} lanes");
         let seq_events: Vec<String> =
@@ -748,7 +655,7 @@ mod tests {
         let sched = LaneScheduler::new(2);
         let mut codes = Vec::new();
         let occ = sched
-            .validate(&block, &db, &[true; 5], None, &mut codes, &TraceSink::disabled())
+            .validate(&block, &db, &[true; 5], &mut codes, &TraceSink::disabled())
             .unwrap();
         // Chains: {1,2,3}, {4}, {5} → 5 txs - 3 chains = 2 serialized.
         assert_eq!(occ.chain_serializations, 2);
@@ -765,67 +672,13 @@ mod tests {
     }
 
     #[test]
-    fn hints_and_rebuild_paths_agree() {
-        // Build hints by hand over the same id space the rwsets imply.
-        let txs = vec![
-            tx(1, &[], &[0]),
-            tx(2, &[(0, g())], &[1]),
-            tx(3, &[(2, g())], &[2]),
-        ];
-        let block = Block::build(1, Digest::ZERO, txs);
-        let db = store();
-
-        let mut b = fabric_common::DependencyHintsBuilder::with_capacity(3);
-        b.push_tx(&[], &[0]); // tx1: writes k0
-        b.push_tx(&[0], &[1]); // tx2: reads k0, writes k1
-        b.push_tx(&[2], &[2]); // tx3: reads k2, writes k2
-        b.push_edge(0, 1); // tx1 writes what tx2 reads
-        let hints = b.finish(3);
-
-        let sched = LaneScheduler::new(4);
-        let mut with_hints = Vec::new();
-        let s1 = TraceSink::enabled();
-        sched
-            .validate(&block, &db, &[true; 3], Some(&hints), &mut with_hints, &s1)
-            .unwrap();
-        let mut without = Vec::new();
-        let s2 = TraceSink::enabled();
-        sched.validate(&block, &db, &[true; 3], None, &mut without, &s2).unwrap();
-        assert_eq!(with_hints, without);
-        let e1: Vec<String> = s1.drain().iter().map(|e| format!("{:?}", e.kind)).collect();
-        let e2: Vec<String> = s2.drain().iter().map(|e| format!("{:?}", e.kind)).collect();
-        assert_eq!(e1, e2);
-        assert_eq!(
-            with_hints,
-            vec![ValidationCode::Valid, ValidationCode::MvccConflict, ValidationCode::Valid]
-        );
-    }
-
-    #[test]
-    fn malformed_hints_fall_back_to_rebuild() {
-        let txs = vec![tx(1, &[(0, g())], &[0]), tx(2, &[(1, g())], &[1])];
-        let block = Block::build(1, Digest::ZERO, txs);
-        let db = store();
-        // Hints for a different (1-tx) block: must be ignored.
-        let mut b = fabric_common::DependencyHintsBuilder::with_capacity(1);
-        b.push_tx(&[0], &[0]);
-        let stale = b.finish(1);
-        let sched = LaneScheduler::new(2);
-        let mut codes = Vec::new();
-        sched
-            .validate(&block, &db, &[true; 2], Some(&stale), &mut codes, &TraceSink::disabled())
-            .unwrap();
-        assert_eq!(codes, vec![ValidationCode::Valid; 2]);
-    }
-
-    #[test]
     fn empty_block_is_a_no_op() {
         let block = Block::build(1, Digest::ZERO, vec![]);
         let db = store();
         let sched = LaneScheduler::new(4);
         let mut codes = vec![ValidationCode::Valid]; // stale content
         let occ = sched
-            .validate(&block, &db, &[], None, &mut codes, &TraceSink::disabled())
+            .validate(&block, &db, &[], &mut codes, &TraceSink::disabled())
             .unwrap();
         assert!(codes.is_empty());
         assert_eq!(occ.lanes_used, 0);
@@ -865,7 +718,7 @@ mod tests {
         let sched = LaneScheduler::new(4);
         let mut lane_codes = Vec::new();
         sched
-            .validate(&block, &db_lane, &endorsed, None, &mut lane_codes, &TraceSink::disabled())
+            .validate(&block, &db_lane, &endorsed, &mut lane_codes, &TraceSink::disabled())
             .unwrap();
         let lane_stats = db_lane.counters().snapshot().since(&before);
         assert_eq!(codes, lane_codes);

@@ -6,7 +6,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use fabric_common::{
-    ConcurrencyMode, CostModel, DependencyHints, LatencyRecorder, OrgId, PeerId, Phase,
+    ConcurrencyMode, CostModel, LatencyRecorder, OrgId, PeerId, Phase,
     PhaseTimers, Result, SignerRegistry, SigningKey, SubsystemGauges, TransactionProposal,
     TxCounters, ValidationCode,
 };
@@ -310,20 +310,6 @@ impl Peer {
         self.commit_validated(self.begin_block_validation(block))
     }
 
-    /// [`Peer::process_block`] with the sealer's [`DependencyHints`]
-    /// attached: when the peer runs commit lanes, the hints let it reuse
-    /// the ordering service's conflict analysis instead of re-interning
-    /// the block. Pass `None` where no hints survive (archive catch-up,
-    /// recovery) — the scheduler rebuilds them and the result is
-    /// identical.
-    pub fn process_block_with_hints(
-        &self,
-        block: Block,
-        hints: Option<Arc<DependencyHints>>,
-    ) -> Result<Arc<CommittedBlock>> {
-        self.commit_validated_with_hints(self.begin_block_validation(block), hints)
-    }
-
     /// Starts phase-1 validation (endorsement signatures) of `block` on the
     /// peer's validation pool and returns without waiting.
     ///
@@ -340,17 +326,6 @@ impl Peer {
     /// [`Peer::begin_block_validation`]: join the signature checks, run the
     /// MVCC check under the state gate, commit.
     pub fn commit_validated(&self, pending: PendingBlock) -> Result<Arc<CommittedBlock>> {
-        self.commit_validated_with_hints(pending, None)
-    }
-
-    /// [`Peer::commit_validated`] with optional sealer [`DependencyHints`]
-    /// for the lane scheduler (ignored on the sequential path, where the
-    /// block-order scan needs no partition).
-    pub fn commit_validated_with_hints(
-        &self,
-        pending: PendingBlock,
-        hints: Option<Arc<DependencyHints>>,
-    ) -> Result<Arc<CommittedBlock>> {
         let PendingBlock { block, checks, begun } = pending;
         let endorsement_ok = checks.wait();
         if let Some(t) = &self.timers {
@@ -379,7 +354,6 @@ impl Peer {
                 &block,
                 self.store.as_ref(),
                 &endorsement_ok,
-                hints.as_deref(),
                 &mut codes,
                 &self.sink,
             )?;
@@ -849,7 +823,7 @@ mod tests {
         ));
         let block = Block::build(1, seq_peer.ledger().tip_hash(), vec![tx1, tx2, tx3]);
         let c_seq = seq_peer.process_block(block.clone()).unwrap();
-        let c_lane = lane_peer.process_block_with_hints(block, None).unwrap();
+        let c_lane = lane_peer.process_block(block).unwrap();
         assert_eq!(c_seq.validity, c_lane.validity);
         assert_eq!(
             c_seq.validity,

@@ -14,16 +14,17 @@
 //! The pool also enables commit/validate *pipelining*: because signature
 //! checks need no state, block N+1's checks can run while block N's writes
 //! are applied under the state gate (see `crates/core`'s peer loop). The
-//! deterministic harnesses ([`SyncNet`](../fabricpp), chaos) use
-//! [`ValidationPool::sequential`], which computes eagerly on the caller's
-//! thread so schedules and digests are unchanged.
+//! deterministic driver (`fabric-chaos`'s `ChaosNet`) uses
+//! [`ValidationPool::sequential`] when `validation_workers` is 1, which
+//! computes eagerly on the caller's thread; at any worker count its
+//! schedules and digests are unchanged.
 
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
-use fabric_common::{default_validation_workers, CostModel, SignerRegistry, SubsystemGauges};
+use fabric_common::{available_parallelism, CostModel, SignerRegistry, SubsystemGauges};
 use fabric_ledger::Block;
 
 use crate::validator::{check_endorsement, check_endorsements, EndorsementPolicy};
@@ -71,7 +72,7 @@ impl ValidationPool {
     /// [`PipelineConfig::validation_workers`](fabric_common::PipelineConfig)'s
     /// default).
     pub fn threaded(workers: usize) -> Self {
-        let workers = if workers == 0 { default_validation_workers() } else { workers };
+        let workers = if workers == 0 { available_parallelism() } else { workers };
         let (tx, rx) = unbounded::<Job>();
         let handles = (0..workers)
             .map(|i| {

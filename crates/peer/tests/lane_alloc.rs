@@ -113,7 +113,7 @@ fn steady_state_lane_block_cycle_does_not_allocate() {
     let mut cycle = |i: usize| {
         let block = &blocks[i];
         sched
-            .validate(block, &store, &endorsement_ok, None, &mut codes, &sink)
+            .validate(block, &store, &endorsement_ok, &mut codes, &sink)
             .unwrap();
         batch.block = block.header.number;
         batch.writes.clear();

@@ -7,11 +7,6 @@
 //! validation codes, the traced conflict-provenance event stream,
 //! post-state (values AND versions), and the commit watermark — on both
 //! the in-memory engine and the LSM engine.
-//!
-//! Hints are deliberately absent here (the scheduler rebuilds the
-//! dependency partition from the raw read/write sets), matching the
-//! recovery/catch-up path; hint-carrying agreement is pinned by the
-//! scheduler's unit tests and the conformance lane cells.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -180,7 +175,7 @@ fn run_differential(
             let lane_sink = TraceSink::enabled();
             let mut lane_codes = Vec::new();
             let occ = sched
-                .validate(&block, store.as_ref(), &endorsement_ok, None, &mut lane_codes, &lane_sink)
+                .validate(&block, store.as_ref(), &endorsement_ok, &mut lane_codes, &lane_sink)
                 .unwrap();
             prop_assert_eq!(
                 &lane_codes,

@@ -8,22 +8,9 @@
 
 use std::fmt::Write as _;
 
-use crate::TelemetrySeries;
+use fabric_common::escape_label_value;
 
-/// Escapes a label *value* per the Prometheus exposition format:
-/// backslash, double-quote, and line-feed must be escaped.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
+use crate::TelemetrySeries;
 
 fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
@@ -34,6 +21,14 @@ fn windowed(out: &mut String, name: &str, series: &TelemetrySeries, f: impl Fn(u
     for (i, w) in series.windows.iter().enumerate() {
         let _ = writeln!(out, "{name}{{window=\"{}\"}} {}", w.index, f(i));
     }
+}
+
+fn aborted_sample(out: &mut String, window: u64, reason: &str, n: u64) {
+    let _ = writeln!(
+        out,
+        "fabric_window_aborted{{window=\"{window}\",reason=\"{}\"}} {n}",
+        escape_label_value(reason)
+    );
 }
 
 /// Renders the whole series as Prometheus text.
@@ -81,13 +76,7 @@ pub fn render(series: &TelemetrySeries) -> String {
             ("early_abort_version_mismatch", rec.stats.early_abort_version_mismatch),
         ];
         for (reason, n) in pairs {
-            let _ = writeln!(
-                out,
-                "fabric_window_aborted{{window=\"{}\",reason=\"{}\"}} {}",
-                rec.index,
-                escape_label_value(reason),
-                n
-            );
+            aborted_sample(&mut out, rec.index, reason, n);
         }
     }
 
@@ -159,11 +148,10 @@ mod tests {
     use fabric_common::TxStats;
 
     #[test]
-    fn escaping_follows_the_exposition_format() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\"b"), "a\\\"b");
-        assert_eq!(escape_label_value("a\\b"), "a\\\\b");
-        assert_eq!(escape_label_value("a\nb"), "a\\nb");
+    fn hostile_label_renders_golden_bytes() {
+        let mut out = String::new();
+        aborted_sample(&mut out, 3, "a\\b\"c\nd", 5);
+        assert_eq!(out, "fabric_window_aborted{window=\"3\",reason=\"a\\\\b\\\"c\\nd\"} 5\n");
     }
 
     #[test]

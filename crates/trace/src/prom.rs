@@ -10,26 +10,10 @@
 
 use std::fmt::Write as _;
 
+use fabric_common::escape_label_value;
 use fabric_common::metrics::{LatencySummary, PhaseSummary, StoreStats, TxStats};
 
 use crate::TraceSink;
-
-/// Escapes a label value per the exposition format: backslash, double
-/// quote, and newline must be backslash-escaped inside the quotes —
-/// otherwise a hostile or merely unlucky label (a key name containing
-/// `"` or a newline) corrupts the whole document.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn counter(out: &mut String, name: &str, help: &str, value: u64) {
     let _ = writeln!(out, "# HELP {name} {help}");
@@ -204,21 +188,28 @@ mod tests {
     }
 
     #[test]
-    fn label_values_are_escaped() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\"b"), "a\\\"b");
-        assert_eq!(escape_label_value("a\\b"), "a\\\\b");
-        assert_eq!(escape_label_value("a\nb"), "a\\nb");
-        // An adversarial label stays on one line and inside its quotes.
+    fn hostile_labels_render_golden_bytes() {
+        // A label holding a backslash, a double quote and a newline stays
+        // on one line and inside its quotes, in both labeled families.
         let mut out = String::new();
         labeled_counter(&mut out, "m", "h", &[("ke\"y\\na\nme", 7)]);
-        let data_line = out.lines().find(|l| !l.starts_with('#')).unwrap();
-        assert_eq!(data_line, "m{outcome=\"ke\\\"y\\\\na\\nme\"} 7");
-        // Phase labels go through the same escaping.
+        assert_eq!(
+            out,
+            "# HELP m h\n# TYPE m counter\nm{outcome=\"ke\\\"y\\\\na\\nme\"} 7\n"
+        );
         let mut out = String::new();
-        phase_rows(&mut out, "pha\"se", &LatencySummary::default());
-        assert!(out.contains("phase=\"pha\\\"se\""), "{out}");
-        assert!(out.lines().all(|l| l.find('\n').is_none()));
+        phase_rows(&mut out, "a\\b\"c\nd", &LatencySummary::default());
+        let p = "phase=\"a\\\\b\\\"c\\nd\"";
+        let expected = format!(
+            "fabric_phase_samples_total{{{p}}} 0\n\
+             fabric_phase_latency_microseconds{{{p},stat=\"min\"}} 0\n\
+             fabric_phase_latency_microseconds{{{p},stat=\"max\"}} 0\n\
+             fabric_phase_latency_microseconds{{{p},stat=\"avg\"}} 0\n\
+             fabric_phase_latency_microseconds{{{p},stat=\"p50\"}} 0\n\
+             fabric_phase_latency_microseconds{{{p},stat=\"p95\"}} 0\n\
+             fabric_phase_latency_microseconds{{{p},stat=\"p99\"}} 0\n"
+        );
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -11,7 +11,8 @@ use fabric_common::{Key, PipelineConfig, Value};
 use fabric_ledger::FileBlockStore;
 use fabric_peer::recovery;
 use fabric_statedb::StateStore;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabric_chaos::{ChaosNet, FaultPlan};
+use fabricpp::chaincode_fn;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("fabricpp-audit-{}", std::process::id()));
@@ -26,12 +27,13 @@ fn main() {
     });
 
     // Phase 1: run a Fabric++ network and persist its blocks.
-    let mut net = SyncNet::new(
+    let mut net = ChaosNet::new(
         &PipelineConfig::fabric_pp(),
         2,
         1,
         vec![bump],
         &(0..8).map(|i| (Key::composite("ctr", i), Value::from_i64(0))).collect::<Vec<_>>(),
+        FaultPlan::quiescent(1),
     )
     .expect("network");
 
@@ -44,7 +46,8 @@ fn main() {
             let target = Key::composite("ctr", (round + client) % 8);
             net.propose_and_submit(client, "bump", target.as_bytes().to_vec());
         }
-        let committed = net.cut_block().expect("cut").expect("block");
+        let num = net.cut_block().expect("cut").expect("block");
+        let committed = net.committed_block(num).expect("committed");
         store.append(&committed).unwrap();
         println!(
             "block {}: {} txs, {} valid",

@@ -8,7 +8,9 @@
 //! asserts the determinism contract itself — same seed, same plan ⇒
 //! byte-identical fault schedules.
 
-use fabric_chaos::{ChaosNet, ChaosOptions, FaultEvent, FaultPlan, InvariantReport};
+use fabric_chaos::{
+    ChaosNet, ChaosOptions, FaultEvent, FaultPlan, InvariantReport, ProposeOutcome,
+};
 use fabric_common::hash::Digest;
 use fabric_common::PipelineConfig;
 use fabric_workloads::smallbank::SmallbankChaincode;
@@ -49,14 +51,14 @@ fn run_case_traced(
         seed: 11,
     });
     let genesis = wl.genesis();
-    let mut net = ChaosNet::new_traced(
+    let mut net = ChaosNet::with_options(
         config,
         ORGS,
         PEERS_PER_ORG,
         vec![SmallbankChaincode::deployable()],
         &genesis,
         plan,
-        sink,
+        ChaosOptions { sink, ..ChaosOptions::default() },
     )
     .unwrap();
     let dir = persist.map(|tag| {
@@ -112,14 +114,14 @@ fn run_replicated_case(
         seed: 11,
     });
     let genesis = wl.genesis();
-    let mut net = ChaosNet::new_replicated(
+    let mut net = ChaosNet::with_options(
         config,
         ORGS,
         PEERS_PER_ORG,
         vec![SmallbankChaincode::deployable()],
         &genesis,
         plan,
-        replicas,
+        ChaosOptions { replicas: Some(replicas), ..ChaosOptions::default() },
     )
     .unwrap();
     let mut client = 0u64;
@@ -385,6 +387,67 @@ fn tracing_does_not_perturb_the_fault_schedule() {
             "{label}: the reporting peer's pipeline must trace too"
         );
     }
+}
+
+#[test]
+fn traced_run_carries_order_phase_provenance() {
+    // The orderer shares the run's trace sink: on a traced chaotic
+    // Fabric++ run every order-phase abort and every sealed block surfaces
+    // as an event, counted exactly like the outcome counters. A hot
+    // Smallbank stream over six users keeps both order-phase abort paths
+    // busy.
+    let mut wl = SmallbankWorkload::new(SmallbankConfig {
+        users: 6,
+        p_write: 0.9,
+        s_value: 0.9,
+        seed: 11,
+    });
+    let genesis = wl.genesis();
+    let sink = TraceSink::bounded(1 << 16);
+    let mut net = ChaosNet::with_options(
+        &PipelineConfig::fabric_pp(),
+        ORGS,
+        PEERS_PER_ORG,
+        vec![SmallbankChaincode::deployable()],
+        &genesis,
+        FaultPlan::chaotic(77),
+        ChaosOptions { sink: sink.clone(), ..ChaosOptions::default() },
+    )
+    .unwrap();
+    let mut client = 0u64;
+    let mut held = Vec::new();
+    for _ in 0..BLOCKS {
+        // Every other endorsed proposal is held back one block, so its
+        // reads go stale against the block cut in between and meet fresh
+        // readers of the same keys in the next batch.
+        let stale = std::mem::take(&mut held);
+        for i in 0..2 * TXS_PER_BLOCK {
+            if let ProposeOutcome::Endorsed(tx) = net.propose(client, "smallbank", wl.next_args()) {
+                if i % 2 == 0 {
+                    held.push(*tx);
+                } else {
+                    net.submit(*tx);
+                }
+            }
+            client += 1;
+        }
+        for tx in stale {
+            net.submit(tx);
+        }
+        net.cut_block().unwrap();
+    }
+    net.check().unwrap().assert_ok();
+    assert!(net.injector().fault_count() > 0, "schedule must be non-trivial");
+
+    let stats = net.stats();
+    let events = sink.drain();
+    assert_eq!(sink.dropped(), 0, "ring must retain the whole run");
+    let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count() as u64;
+    assert!(stats.early_abort_cycle > 0, "workload must hit conflict cycles");
+    assert!(stats.early_abort_version_mismatch > 0, "workload must hit stale versions");
+    assert_eq!(count("early_abort_cycle"), stats.early_abort_cycle);
+    assert_eq!(count("early_abort_version"), stats.early_abort_version_mismatch);
+    assert_eq!(count("block_sealed"), net.blocks_cut());
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! a committed change to any scanned entry invalidates the reader.
 
 use fabric_common::{Key, PipelineConfig, ValidationCode, Value};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
+use fabricpp_suite::chaos::{ChaosNet, FaultPlan, ProposeOutcome};
 
 fn chaincodes() -> Vec<std::sync::Arc<dyn fabricpp_suite::peer::chaincode::Chaincode>> {
     // sum_range: writes the sum of every `acct:*` balance to `total`.
@@ -32,10 +32,12 @@ fn genesis() -> Vec<(Key, Value)> {
 
 #[test]
 fn range_scan_commits_and_reads_consistent_sum() {
+    let plan = FaultPlan::quiescent(1);
     let mut net =
-        SyncNet::new(&PipelineConfig::fabric_pp(), 2, 2, chaincodes(), &genesis()).unwrap();
+        ChaosNet::new(&PipelineConfig::fabric_pp(), 2, 2, chaincodes(), &genesis(), plan).unwrap();
     net.propose_and_submit(0, "sum_range", vec![]).unwrap();
-    let block = net.cut_block().unwrap().expect("block");
+    let num = net.cut_block().unwrap().expect("block");
+    let block = net.committed_block(num).expect("committed");
     assert_eq!(block.validity, vec![ValidationCode::Valid]);
     let total = net
         .reporting_peer()
@@ -51,8 +53,9 @@ fn range_scan_commits_and_reads_consistent_sum() {
 
 #[test]
 fn committed_change_to_scanned_entry_invalidates_reader() {
+    let plan = FaultPlan::quiescent(1);
     let mut net =
-        SyncNet::new(&PipelineConfig::vanilla(), 2, 1, chaincodes(), &genesis()).unwrap();
+        ChaosNet::new(&PipelineConfig::vanilla(), 2, 1, chaincodes(), &genesis(), plan).unwrap();
 
     // Endorse the range scan against the genesis state, but hold it back.
     let scan_tx = match net.propose(0, "sum_range", vec![]) {
@@ -68,7 +71,8 @@ fn committed_change_to_scanned_entry_invalidates_reader() {
 
     // The held-back scan now fails the serializability check.
     net.submit(scan_tx);
-    let block = net.cut_block().unwrap().expect("block");
+    let num = net.cut_block().unwrap().expect("block");
+    let block = net.committed_block(num).expect("committed");
     assert_eq!(block.validity, vec![ValidationCode::MvccConflict]);
     assert!(
         net.reporting_peer().store().get(&Key::from("total")).unwrap().is_none(),
@@ -78,8 +82,9 @@ fn committed_change_to_scanned_entry_invalidates_reader() {
 
 #[test]
 fn fabricpp_orderer_drops_stale_range_reader_early() {
+    let plan = FaultPlan::quiescent(1);
     let mut net =
-        SyncNet::new(&PipelineConfig::fabric_pp(), 2, 1, chaincodes(), &genesis()).unwrap();
+        ChaosNet::new(&PipelineConfig::fabric_pp(), 2, 1, chaincodes(), &genesis(), plan).unwrap();
     let stale_scan = match net.propose(0, "sum_range", vec![]) {
         ProposeOutcome::Endorsed(tx) => *tx,
         other => panic!("unexpected {other:?}"),
@@ -94,7 +99,8 @@ fn fabricpp_orderer_drops_stale_range_reader_early() {
     };
     net.submit(stale_scan);
     net.submit(fresh_scan);
-    let block = net.cut_block().unwrap().expect("block");
+    let num = net.cut_block().unwrap().expect("block");
+    let block = net.committed_block(num).expect("committed");
     // The within-block version-mismatch check drops the stale scan at
     // order time; the fresh one commits.
     assert_eq!(block.block.txs.len(), 1);

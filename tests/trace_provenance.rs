@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use fabric_common::{Key, PipelineConfig, ValidationCode, Value, Version};
-use fabricpp::sync::ProposeOutcome;
-use fabricpp::{chaincode_fn, SyncNet};
+use fabricpp::chaincode_fn;
+use fabricpp_suite::chaos::{ChaosNet, ChaosOptions, FaultPlan, ProposeOutcome};
 use fabricpp_suite::trace::{EventKind, TraceSink};
 
 /// One chaincode per transaction shape of the running example.
@@ -50,7 +50,7 @@ fn example_genesis() -> Vec<(Key, Value)> {
     (1..=4).map(|i| (Key::from(format!("k{i}").as_str()), Value::from_i64(1))).collect()
 }
 
-fn endorse(net: &SyncNet, client: u64, cc: &str) -> fabric_common::Transaction {
+fn endorse(net: &ChaosNet, client: u64, cc: &str) -> fabric_common::Transaction {
     match net.propose(client, cc, vec![]) {
         ProposeOutcome::Endorsed(tx) => *tx,
         other => panic!("{cc} must endorse, got {other:?}"),
@@ -68,13 +68,14 @@ fn count(events: &[fabricpp_suite::trace::TraceEvent], label: &str) -> u64 {
 #[test]
 fn table_1_vanilla_mvcc_conflicts_carry_provenance() {
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = ChaosNet::with_options(
         &PipelineConfig::vanilla(),
         2,
         1,
         example_chaincodes(),
         &example_genesis(),
-        sink.clone(),
+        FaultPlan::quiescent(1),
+        ChaosOptions { sink: sink.clone(), ..ChaosOptions::default() },
     )
     .unwrap();
 
@@ -95,7 +96,8 @@ fn table_1_vanilla_mvcc_conflicts_carry_provenance() {
     for tx in txs {
         net.submit(tx);
     }
-    let block = net.cut_block().unwrap().expect("block");
+    let num = net.cut_block().unwrap().expect("block");
+    let block = net.committed_block(num).expect("committed");
     assert_eq!(
         block.validity,
         vec![
@@ -157,13 +159,14 @@ fn table_1_vanilla_mvcc_conflicts_carry_provenance() {
 #[test]
 fn table_2_fabricpp_rescues_all_four() {
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = ChaosNet::with_options(
         &PipelineConfig::fabric_pp(),
         2,
         1,
         example_chaincodes(),
         &example_genesis(),
-        sink.clone(),
+        FaultPlan::quiescent(1),
+        ChaosOptions { sink: sink.clone(), ..ChaosOptions::default() },
     )
     .unwrap();
 
@@ -171,7 +174,8 @@ fn table_2_fabricpp_rescues_all_four() {
         let tx = endorse(&net, i, &format!("t{i}"));
         net.submit(tx);
     }
-    let block = net.cut_block().unwrap().expect("block");
+    let num = net.cut_block().unwrap().expect("block");
+    let block = net.committed_block(num).expect("committed");
     assert_eq!(block.block.txs.len(), 4, "nothing early-aborted");
     assert_eq!(block.validity, vec![ValidationCode::Valid; 4], "Table 2: all four valid");
 
@@ -217,13 +221,14 @@ fn version_mismatch_event_names_key_versions_and_witness() {
     });
 
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = ChaosNet::with_options(
         &PipelineConfig::fabric_pp(),
         2,
         1,
         vec![bump, reader],
         &[(Key::from("hot"), Value::from_i64(0))],
-        sink.clone(),
+        FaultPlan::quiescent(1),
+        ChaosOptions { sink: sink.clone(), ..ChaosOptions::default() },
     )
     .unwrap();
 
@@ -252,7 +257,8 @@ fn version_mismatch_event_names_key_versions_and_witness() {
     let (old_id, new_id) = (t_old.id, t_new.id);
     net.submit(t_old);
     net.submit(t_new);
-    let block = net.cut_block().unwrap().expect("block");
+    let num = net.cut_block().unwrap().expect("block");
+    let block = net.committed_block(num).expect("committed");
     assert_eq!(block.block.txs.len(), 1, "older reader dropped before distribution");
 
     let stats = net.stats();
@@ -289,13 +295,14 @@ fn cycle_abort_event_names_scc_and_size() {
     });
 
     let sink = TraceSink::bounded(1024);
-    let mut net = SyncNet::new_traced(
+    let mut net = ChaosNet::with_options(
         &PipelineConfig::fabric_pp(),
         2,
         1,
         vec![swap],
         &[(Key::from("x"), Value::from_i64(1)), (Key::from("y"), Value::from_i64(2))],
-        sink.clone(),
+        FaultPlan::quiescent(1),
+        ChaosOptions { sink: sink.clone(), ..ChaosOptions::default() },
     )
     .unwrap();
 
@@ -310,7 +317,8 @@ fn cycle_abort_event_names_scc_and_size() {
     let (a_id, b_id) = (ta.id, tb.id);
     net.submit(ta);
     net.submit(tb);
-    let block = net.cut_block().unwrap().expect("block");
+    let num = net.cut_block().unwrap().expect("block");
+    let block = net.committed_block(num).expect("committed");
     assert_eq!(block.block.txs.len(), 1, "one cycle member removed pre-distribution");
 
     let stats = net.stats();
