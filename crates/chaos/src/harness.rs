@@ -49,7 +49,7 @@ use fabric_ledger::{Block, CommittedBlock, FileBlockStore};
 use fabric_net::{FaultHook, LinkId, SendFault};
 use fabric_ordering::{CutReason, OrderingService, ReorderPipeline};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry, SimulationError};
-use fabric_peer::peer::Peer;
+use fabric_peer::peer::{genesis_block, Peer};
 use fabric_peer::recovery;
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
@@ -254,6 +254,8 @@ impl ChaosNet {
         };
         gauges.set_validation_workers(pool.workers() as u64);
 
+        // Built (and hashed) once; every peer's ledger shares it.
+        let genesis = genesis_block(genesis);
         let mut slots = Vec::new();
         let mut pid = 1u64;
         for org in 1..=orgs as u64 {
@@ -300,7 +302,7 @@ impl ChaosNet {
                         .with_gauges(gauges.clone())
                         .with_telemetry(hub.clone());
                 }
-                peer.install_genesis(genesis)?;
+                peer.install_genesis_block(Arc::clone(&genesis))?;
                 slots.push(Slot {
                     peer: Arc::new(peer),
                     down: false,

@@ -187,8 +187,15 @@ impl ReadWriteSet {
     }
 }
 
-/// Incrementally records reads and writes during a simulation, then freezes
-/// into a [`ReadWriteSet`].
+/// Records reads and writes during a simulation, then freezes into a
+/// [`ReadWriteSet`].
+///
+/// Recording only appends: [`RwSetBuilder::record_read`] and
+/// [`RwSetBuilder::record_write`] are O(1), so a simulation (or a genesis
+/// block) touching `n` keys costs O(n log n) in total, paid once when
+/// [`RwSetBuilder::build`] canonicalises the logs — a stable sort by key,
+/// then one pass keeping the first read and the last write of each key,
+/// exactly the entries that deduplicating at every record would keep.
 ///
 /// Implements Fabric's read-your-own-writes: a read of a key this
 /// transaction already wrote returns the pending value and records nothing
@@ -206,49 +213,61 @@ impl RwSetBuilder {
     }
 
     /// Records that `key` was read at `version` (`None` = key absent).
-    /// Only the first read of each key is recorded.
+    /// Only the first read of each key reaches the built read set.
     pub fn record_read(&mut self, key: Key, version: Option<Version>) {
-        if !self.reads.iter().any(|e| e.key == key) {
-            self.reads.push(ReadEntry { key, version });
-        }
+        self.reads.push(ReadEntry { key, version });
     }
 
     /// Records a write of `value` to `key`; a later write to the same key
-    /// replaces the earlier one.
+    /// supersedes the earlier one.
     pub fn record_write(&mut self, key: Key, value: Option<Value>) {
-        if let Some(e) = self.writes.iter_mut().find(|e| e.key == key) {
-            e.value = value;
-        } else {
-            self.writes.push(WriteEntry { key, value });
-        }
+        self.writes.push(WriteEntry { key, value });
     }
 
     /// The pending write for `key`, if any (read-your-own-writes lookup).
     pub fn pending_write(&self, key: &Key) -> Option<Option<&Value>> {
         self.writes
             .iter()
+            .rev()
             .find(|e| &e.key == key)
             .map(|e| e.value.as_ref())
     }
 
-    /// All pending writes with keys in `[start, end)` (range-scan
-    /// read-your-own-writes). Deletes appear with `None`.
+    /// The newest pending write of every key in `[start, end)`, sorted by
+    /// key (range-scan read-your-own-writes). Deletes appear with `None`.
     pub fn pending_writes_in_range(
         &self,
         start: &Key,
         end: &Key,
     ) -> Vec<(Key, Option<Value>)> {
-        self.writes
-            .iter()
-            .filter(|e| &e.key >= start && &e.key < end)
-            .map(|e| (e.key.clone(), e.value.clone()))
-            .collect()
+        let mut hits: Vec<&WriteEntry> =
+            self.writes.iter().filter(|e| &e.key >= start && &e.key < end).collect();
+        hits.sort_by(|a, b| a.key.cmp(&b.key));
+        hits.dedup_by(|later, earlier| {
+            let same = later.key == earlier.key;
+            if same {
+                *earlier = *later;
+            }
+            same
+        });
+        hits.into_iter().map(|e| (e.key.clone(), e.value.clone())).collect()
     }
 
-    /// Freezes the builder into a canonical (key-sorted) [`ReadWriteSet`].
+    /// Freezes the builder into a canonical (key-sorted, one entry per
+    /// key) [`ReadWriteSet`].
     pub fn build(mut self) -> ReadWriteSet {
+        // Stable sorts keep each key's entries in recording order, so the
+        // first read and the last write are the ends of the key's run.
         self.reads.sort_by(|a, b| a.key.cmp(&b.key));
+        self.reads.dedup_by(|later, earlier| later.key == earlier.key);
         self.writes.sort_by(|a, b| a.key.cmp(&b.key));
+        self.writes.dedup_by(|later, earlier| {
+            let same = later.key == earlier.key;
+            if same {
+                std::mem::swap(&mut earlier.value, &mut later.value);
+            }
+            same
+        });
         ReadWriteSet {
             reads: ReadSet { entries: self.reads },
             writes: WriteSet { entries: self.writes },
@@ -409,6 +428,20 @@ mod tests {
         assert_eq!(b.pending_write(&k("a")), Some(Some(&v("new"))));
         b.record_write(k("a"), None); // delete
         assert_eq!(b.pending_write(&k("a")), Some(None));
+    }
+
+    #[test]
+    fn pending_writes_in_range_are_newest_per_key_and_sorted() {
+        let mut b = RwSetBuilder::new();
+        b.record_write(k("r:b"), Some(v("1")));
+        b.record_write(k("r:a"), Some(v("2")));
+        b.record_write(k("z"), Some(v("out of range")));
+        b.record_write(k("r:b"), None);
+        b.record_write(k("r:a"), Some(v("3")));
+        assert_eq!(
+            b.pending_writes_in_range(&k("r:"), &k("r:~")),
+            vec![(k("r:a"), Some(v("3"))), (k("r:b"), None)]
+        );
     }
 
     #[test]

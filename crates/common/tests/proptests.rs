@@ -5,9 +5,77 @@ use std::collections::BTreeSet;
 
 use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
 use fabric_common::hash::{sha256, Sha256};
-use fabric_common::rwset::{ReadWriteSet, RwSetBuilder};
+use fabric_common::rwset::{ReadEntry, ReadWriteSet, RwSetBuilder, WriteEntry};
 use fabric_common::{BitSet, Key, SigningKey, Value, Version};
 use proptest::prelude::*;
+
+/// Reference model for [`RwSetBuilder`]: the original linear-scan builder,
+/// which deduplicates on every record (first read and last write per key
+/// win in place) and only sorts at `build`. Quadratic, but obviously
+/// right; the append-only builder must agree with it on every lookup and
+/// on the frozen set.
+#[derive(Default)]
+struct LinearScanBuilder {
+    reads: Vec<ReadEntry>,
+    writes: Vec<WriteEntry>,
+}
+
+impl LinearScanBuilder {
+    fn record_read(&mut self, key: Key, version: Option<Version>) {
+        if !self.reads.iter().any(|e| e.key == key) {
+            self.reads.push(ReadEntry { key, version });
+        }
+    }
+
+    fn record_write(&mut self, key: Key, value: Option<Value>) {
+        if let Some(e) = self.writes.iter_mut().find(|e| e.key == key) {
+            e.value = value;
+        } else {
+            self.writes.push(WriteEntry { key, value });
+        }
+    }
+
+    fn pending_write(&self, key: &Key) -> Option<Option<&Value>> {
+        self.writes.iter().find(|e| &e.key == key).map(|e| e.value.as_ref())
+    }
+
+    fn pending_writes_in_range(&self, start: &Key, end: &Key) -> Vec<(Key, Option<Value>)> {
+        self.writes
+            .iter()
+            .filter(|e| &e.key >= start && &e.key < end)
+            .map(|e| (e.key.clone(), e.value.clone()))
+            .collect()
+    }
+
+    fn build(mut self) -> (Vec<ReadEntry>, Vec<WriteEntry>) {
+        self.reads.sort_by(|a, b| a.key.cmp(&b.key));
+        self.writes.sort_by(|a, b| a.key.cmp(&b.key));
+        (self.reads, self.writes)
+    }
+}
+
+/// One step of a simulated chaincode over a tiny key space.
+#[derive(Debug, Clone)]
+enum Op {
+    Read(u8, Option<u64>),
+    Write(u8, Option<i64>),
+    RangeProbe(u8, u8),
+}
+
+/// Keys `a`..`h`: few enough that reads and writes repeat constantly.
+const KEY_SPACE: u8 = 8;
+
+fn key_of(id: u8) -> Key {
+    Key::new(vec![b'a' + id])
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0..KEY_SPACE, proptest::option::of(0u64..4)).prop_map(|(k, v)| Op::Read(k, v)),
+        (0..KEY_SPACE, proptest::option::of(0i64..4)).prop_map(|(k, v)| Op::Write(k, v)),
+        (0..KEY_SPACE + 1, 0..KEY_SPACE + 1).prop_map(|(s, e)| Op::RangeProbe(s, e)),
+    ]
+}
 
 proptest! {
     /// Arbitrary scalar sequences survive an encode/decode round trip.
@@ -110,6 +178,47 @@ proptest! {
         // Canonical encoding round trips.
         let bytes = rw.encode_to_vec();
         prop_assert_eq!(ReadWriteSet::decode_exact(&bytes).unwrap(), rw);
+    }
+
+    /// Differential: the append-only builder agrees with the linear-scan
+    /// reference after every step of any op sequence — on each key's
+    /// pending write and on range probes (as key-sorted lists) — and both
+    /// freeze to the same read and write sets.
+    #[test]
+    fn rwset_builder_matches_linear_scan_reference(
+        ops in proptest::collection::vec(op_strategy(), 0..80),
+    ) {
+        let mut fast = RwSetBuilder::new();
+        let mut oracle = LinearScanBuilder::default();
+        for op in &ops {
+            let probe = match *op {
+                Op::Read(k, v) => {
+                    let version = v.map(|b| Version::new(b, 0));
+                    fast.record_read(key_of(k), version);
+                    oracle.record_read(key_of(k), version);
+                    (0, KEY_SPACE)
+                }
+                Op::Write(k, v) => {
+                    let value = v.map(Value::from_i64);
+                    fast.record_write(key_of(k), value.clone());
+                    oracle.record_write(key_of(k), value);
+                    (0, KEY_SPACE)
+                }
+                Op::RangeProbe(s, e) => (s, e),
+            };
+            for k in 0..=KEY_SPACE {
+                let key = key_of(k);
+                prop_assert_eq!(fast.pending_write(&key), oracle.pending_write(&key));
+            }
+            let (start, end) = (key_of(probe.0), key_of(probe.1));
+            let mut expect = oracle.pending_writes_in_range(&start, &end);
+            expect.sort_by(|a, b| a.0.cmp(&b.0));
+            prop_assert_eq!(fast.pending_writes_in_range(&start, &end), expect);
+        }
+        let rw = fast.build();
+        let (reads, writes) = oracle.build();
+        prop_assert_eq!(rw.reads.entries(), reads.as_slice());
+        prop_assert_eq!(rw.writes.entries(), writes.as_slice());
     }
 
     /// Streaming SHA-256 equals one-shot for any chunking of any message.

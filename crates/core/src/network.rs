@@ -13,7 +13,7 @@ use fabric_common::{
 use fabric_net::{FaultHook, LatencyModel, NetStats};
 use fabric_ordering::{OrdererStats, OrdererStatsSnapshot};
 use fabric_peer::chaincode::{Chaincode, ChaincodeRegistry};
-use fabric_peer::peer::Peer;
+use fabric_peer::peer::{genesis_block, Peer};
 use fabric_peer::validation_pool::ValidationPool;
 use fabric_peer::validator::EndorsementPolicy;
 use fabric_statedb::{LsmConfig, LsmStateDb, MemStateDb, StateStore};
@@ -211,6 +211,9 @@ impl NetworkBuilder {
         let policy =
             EndorsementPolicy::require_orgs((1..=self.orgs as u64).map(OrgId).collect());
 
+        // Every channel starts from the same block 0: build (and hash) it
+        // once, and every peer's ledger shares it.
+        let genesis = genesis_block(&self.genesis);
         let mut channels = Vec::with_capacity(self.channels);
         let mut reporting_stores = Vec::with_capacity(self.channels);
         let mut next_peer_id = 1u64;
@@ -257,7 +260,7 @@ impl NetworkBuilder {
                             .with_telemetry(hub.clone());
                         reporting_stores.push(peer.store().counters());
                     }
-                    peer.install_genesis(&self.genesis)?;
+                    peer.install_genesis_block(Arc::clone(&genesis))?;
                     peers.push(Arc::new(peer));
                 }
             }

@@ -28,8 +28,11 @@ impl Ledger {
     }
 
     /// Appends a committed block after verifying chain linkage and the data
-    /// hash. The block is moved in once and returned as a shared handle.
-    pub fn append(&self, cb: CommittedBlock) -> Result<Arc<CommittedBlock>> {
+    /// hash. The block is moved in once (or, already shared, adopted
+    /// without a copy — every peer of a channel holds the same genesis
+    /// block) and returned as a shared handle.
+    pub fn append(&self, cb: impl Into<Arc<CommittedBlock>>) -> Result<Arc<CommittedBlock>> {
+        let cb = cb.into();
         if !cb.block.verify_data_hash() {
             return Err(Error::Corruption(format!(
                 "block {}: data hash does not match transactions",
@@ -54,7 +57,6 @@ impl Ledger {
                 cb.block.header.number
             )));
         }
-        let cb = Arc::new(cb);
         chain.push(Arc::clone(&cb));
         Ok(cb)
     }

@@ -188,12 +188,15 @@ impl TxContext {
             .snapshot
             .read_range(start, end)
             .map_err(|e| SimulationError::Storage(e.to_string()))?;
+        // Both lists are key-sorted, so every own-write lookup below is a
+        // binary search.
+        let pending = self.builder.pending_writes_in_range(start, end);
         let mut out: Vec<(Key, Value)> = Vec::with_capacity(scanned.len());
         for (key, read) in scanned {
-            if let Some(pending) = self.builder.pending_write(&key) {
+            if let Ok(i) = pending.binary_search_by(|(k, _)| k.cmp(&key)) {
                 // Own write shadows the stored entry; nothing is recorded
                 // in the read set (read-your-own-writes).
-                if let Some(v) = pending {
+                if let Some(v) = &pending[i].1 {
                     out.push((key, v.clone()));
                 }
                 continue;
@@ -225,9 +228,9 @@ impl TxContext {
         }
         // Own writes to keys absent from the store but inside the range.
         let mut extra: Vec<(Key, Value)> = Vec::new();
-        for e in self.builder.pending_writes_in_range(start, end) {
-            if let (k, Some(v)) = e {
-                if !out.iter().any(|(ok, _)| ok == &k) {
+        for (k, v) in pending {
+            if let Some(v) = v {
+                if out.binary_search_by(|(ok, _)| ok.cmp(&k)).is_err() {
                     extra.push((k, v));
                 }
             }
@@ -538,6 +541,27 @@ mod tests {
         assert!(rw.reads.reads(&k("acct:b")));
         assert!(!rw.reads.reads(&k("acct:ba")));
         assert!(!rw.reads.reads(&k("other:x")), "outside range");
+    }
+
+    #[test]
+    fn range_scan_sees_each_keys_newest_own_write() {
+        let db = Arc::new(MemStateDb::with_genesis([
+            (k("acct:a"), Value::from_i64(1)),
+            (k("acct:b"), Value::from_i64(2)),
+        ]));
+        let mut c = ctx(&db, true);
+        c.put_i64(k("acct:a"), 10);
+        c.put_i64(k("acct:z"), 20);
+        c.delete(k("acct:a"));
+        c.put_i64(k("acct:a"), 11); // re-created after its delete
+        c.delete(k("acct:z")); // created, then deleted again
+        let got = c.get_range(&k("acct:"), &k("acct:~")).unwrap();
+        let pairs: Vec<(String, i64)> =
+            got.iter().map(|(k, v)| (k.to_string(), v.as_i64().unwrap())).collect();
+        assert_eq!(pairs, [("acct:a".to_string(), 11), ("acct:b".to_string(), 2)]);
+        let rw = c.finish();
+        assert!(!rw.reads.reads(&k("acct:a")), "shadowed by an own write");
+        assert!(rw.reads.reads(&k("acct:b")));
     }
 
     #[test]

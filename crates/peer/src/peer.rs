@@ -8,11 +8,11 @@ use parking_lot::{Mutex, RwLock};
 use fabric_common::{
     ConcurrencyMode, CostModel, LatencyRecorder, OrgId, PeerId, Phase,
     PhaseTimers, Result, SignerRegistry, SigningKey, SubsystemGauges, TransactionProposal,
-    TxCounters, ValidationCode,
+    TxCounters, TxNum, ValidationCode,
 };
 use fabric_telemetry::TelemetryHub;
 use fabric_ledger::{Block, CommittedBlock, Ledger};
-use fabric_statedb::{CommitWrite, StateStore};
+use fabric_statedb::{StateStore, WriteBatch, WriteRef};
 use fabric_trace::{EventKind, TraceSink};
 
 use crate::chaincode::{ChaincodeRegistry, SimulationError};
@@ -235,28 +235,38 @@ impl Peer {
         &self.store
     }
 
-    /// Installs the genesis block: `initial` key/values become state block
-    /// 0 and a block 0 carrying them as a bootstrap transaction anchors the
-    /// ledger chain. Must be called exactly once, before any transaction
-    /// block.
+    /// Installs the genesis block built from `initial`: shorthand for
+    /// [`Peer::install_genesis_block`] of [`genesis_block`]. A network
+    /// bootstrapping several peers builds the block once and installs it
+    /// on each instead.
+    pub fn install_genesis(
+        &self,
+        initial: &[(fabric_common::Key, fabric_common::Value)],
+    ) -> Result<()> {
+        self.install_genesis_block(genesis_block(initial))
+    }
+
+    /// Installs `genesis` as block 0: the ledger checks and appends it
+    /// (sharing the block, not copying it), then its valid transactions'
+    /// writes become state block 0. Must be called exactly once, before
+    /// any transaction block.
     ///
     /// The initial writes ride *inside* the genesis block (see
     /// [`genesis_transaction`]) so that the current state is a pure
     /// function of the ledger — a peer recovered from its block log alone
     /// (see [`crate::recovery`]) reproduces the bootstrap state too.
-    pub fn install_genesis(
-        &self,
-        initial: &[(fabric_common::Key, fabric_common::Value)],
-    ) -> Result<()> {
-        let writes: Vec<CommitWrite> = initial
-            .iter()
-            .map(|(k, v)| CommitWrite::put(k.clone(), v.clone(), 0))
-            .collect();
-        self.store.apply_block(0, &writes)?;
-        let genesis =
-            Block::build(0, fabric_common::Digest::ZERO, vec![genesis_transaction(initial)]);
-        self.ledger.append(CommittedBlock::new(genesis, vec![ValidationCode::Valid])?)?;
-        Ok(())
+    pub fn install_genesis_block(&self, genesis: Arc<CommittedBlock>) -> Result<()> {
+        let genesis = self.ledger.append(genesis)?;
+        let mut batch = WriteBatch::new(genesis.block.header.number);
+        for (tx_num, (tx, code)) in genesis.iter().enumerate() {
+            if !code.is_valid() {
+                continue;
+            }
+            for e in tx.rwset.writes.entries() {
+                batch.push(WriteRef { key: &e.key, value: e.value.as_ref(), tx: tx_num as TxNum });
+            }
+        }
+        self.store.apply_write_batch(&batch)
     }
 
     /// Simulation-phase entry point: simulate `proposal` and endorse it.
@@ -444,6 +454,16 @@ impl PendingBlock {
     pub fn number(&self) -> u64 {
         self.block.header.number
     }
+}
+
+/// Block 0 of a chain bootstrapped with `initial`, as committed: one valid
+/// [`genesis_transaction`], linked to [`fabric_common::Digest::ZERO`].
+/// Shared, so every peer of a channel can install the very same block.
+pub fn genesis_block(
+    initial: &[(fabric_common::Key, fabric_common::Value)],
+) -> Arc<CommittedBlock> {
+    let block = Block::build(0, fabric_common::Digest::ZERO, vec![genesis_transaction(initial)]);
+    Arc::new(CommittedBlock { block, validity: vec![ValidationCode::Valid] })
 }
 
 /// The bootstrap transaction carried by the genesis block: a pure
