@@ -133,6 +133,14 @@ impl<'a> Decoder<'a> {
         self.buf.len() - self.pos
     }
 
+    /// A safe pre-allocation for `count` items read out of the input, each
+    /// at least `min_encoded` (> 0) bytes long: no more items than the
+    /// bytes left can hold. A malformed count then cannot ask for more
+    /// memory than the input itself justifies before decoding fails.
+    pub fn capacity_for(&self, count: usize, min_encoded: usize) -> usize {
+        count.min(self.remaining() / min_encoded)
+    }
+
     /// Returns an error if any input remains (catches trailing garbage).
     pub fn finish(&self) -> Result<()> {
         if self.remaining() == 0 {
@@ -196,6 +204,17 @@ mod tests {
         // Cut the payload short.
         let mut dec = Decoder::new(&buf[..buf.len() - 2]);
         assert!(dec.get_bytes().is_err());
+    }
+
+    #[test]
+    fn capacity_is_bounded_by_the_bytes_left() {
+        let buf = [0u8; 40];
+        let mut dec = Decoder::new(&buf);
+        assert_eq!(dec.capacity_for(3, 8), 3); // the count fits: kept
+        assert_eq!(dec.capacity_for(1 << 20, 8), 5); // claims more: 40 / 8
+        dec.get_u64().unwrap();
+        assert_eq!(dec.capacity_for(1 << 20, 8), 4); // 32 bytes left
+        assert_eq!(dec.capacity_for(1 << 20, 41), 0);
     }
 
     #[test]

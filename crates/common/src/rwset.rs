@@ -336,7 +336,8 @@ impl Decode for ReadWriteSet {
         if nr > 1 << 24 {
             return Err(Error::Codec(format!("implausible read-set size {nr}")));
         }
-        let mut reads = Vec::with_capacity(nr);
+        // An entry is at least a key length prefix and a tag byte.
+        let mut reads = Vec::with_capacity(dec.capacity_for(nr, 4 + 1));
         for _ in 0..nr {
             let key = Key::new(dec.get_bytes()?.to_vec());
             let version = match dec.get_u8()? {
@@ -354,7 +355,7 @@ impl Decode for ReadWriteSet {
         if nw > 1 << 24 {
             return Err(Error::Codec(format!("implausible write-set size {nw}")));
         }
-        let mut writes = Vec::with_capacity(nw);
+        let mut writes = Vec::with_capacity(dec.capacity_for(nw, 4 + 1));
         for _ in 0..nw {
             let key = Key::new(dec.get_bytes()?.to_vec());
             let value = match dec.get_u8()? {

@@ -73,7 +73,7 @@ fn shuffle_tx_order(replica: &mut ReplicaArtifacts) -> Result<()> {
         .iter_mut()
         .find(|cb| cb.block.txs.len() >= 2)
         .ok_or_else(|| Error::Config("no block with >= 2 transactions to shuffle".into()))?;
-    let mut txs = target.block.txs.clone();
+    let mut txs = target.block.txs.to_vec();
     let mut validity = target.validity.clone();
     txs.rotate_left(1);
     validity.rotate_left(1);

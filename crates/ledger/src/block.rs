@@ -1,6 +1,8 @@
 //! Blocks: ordered by the ordering service, committed (with per-transaction
 //! validity flags) by the peers.
 
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::Instant;
 
 use fabric_common::codec::{Decode, Decoder, Encode, Encoder};
@@ -36,14 +38,54 @@ impl BlockHeader {
     }
 }
 
+/// A sealed block's ordered transactions: immutable and shared.
+///
+/// The orderer's archive, every broadcast link and every peer's ledger hold
+/// the same allocation, so cloning a [`Block`] copies its header and bumps
+/// one reference count. Nothing can mutate the transactions once sealed,
+/// so the header's `data_hash` cannot go stale.
+#[derive(Debug, Clone)]
+pub struct BlockTxs(Arc<[Transaction]>);
+
+impl BlockTxs {
+    /// Whether `a` and `b` share one allocation (not merely equal contents).
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for BlockTxs {
+    type Target = [Transaction];
+
+    fn deref(&self) -> &[Transaction] {
+        &self.0
+    }
+}
+
+impl From<Vec<Transaction>> for BlockTxs {
+    fn from(txs: Vec<Transaction>) -> Self {
+        BlockTxs(txs.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a BlockTxs {
+    type Item = &'a Transaction;
+    type IntoIter = std::slice::Iter<'a, Transaction>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// A block as emitted by the ordering service: ordered transactions, not yet
 /// validated.
 #[derive(Debug, Clone)]
 pub struct Block {
     /// The header.
     pub header: BlockHeader,
-    /// The ordered transactions (possibly reordered by Fabric++).
-    pub txs: Vec<Transaction>,
+    /// The ordered transactions (possibly reordered by Fabric++), shared by
+    /// every clone of the block.
+    pub txs: BlockTxs,
 }
 
 impl Block {
@@ -51,7 +93,7 @@ impl Block {
     /// and linking to `prev_hash`.
     pub fn build(number: BlockNum, prev_hash: Digest, txs: Vec<Transaction>) -> Self {
         let data_hash = Self::compute_data_hash(&txs);
-        Block { header: BlockHeader { number, prev_hash, data_hash }, txs }
+        Block { header: BlockHeader { number, prev_hash, data_hash }, txs: txs.into() }
     }
 
     /// Hash over every transaction's signing payload and endorsements.
@@ -116,6 +158,13 @@ impl CommittedBlock {
 // Storage encoding (used by the file-backed block store)
 // ---------------------------------------------------------------------------
 
+/// Smallest encoding of one endorsement: peer, org, 32-byte signature.
+const MIN_ENDORSEMENT_BYTES: usize = 8 + 8 + 4 + 32;
+
+/// Smallest encoding of one block entry: a transaction with an empty
+/// chaincode name, read-write set and endorsement list, plus its code byte.
+const MIN_BLOCK_ENTRY_BYTES: usize = 8 + 8 + 8 + 4 + (4 + 4) + 4 + 1;
+
 fn encode_tx(tx: &Transaction, enc: &mut Encoder) {
     enc.put_u64(tx.id.raw());
     enc.put_u64(tx.channel.raw());
@@ -141,7 +190,7 @@ fn decode_tx(dec: &mut Decoder<'_>) -> Result<Transaction> {
     if n > 1 << 16 {
         return Err(Error::Codec(format!("implausible endorsement count {n}")));
     }
-    let mut endorsements = Vec::with_capacity(n);
+    let mut endorsements = Vec::with_capacity(dec.capacity_for(n, MIN_ENDORSEMENT_BYTES));
     for _ in 0..n {
         let peer = PeerId(dec.get_u64()?);
         let org = OrgId(dec.get_u64()?);
@@ -214,15 +263,16 @@ impl Decode for CommittedBlock {
         if n > 1 << 20 {
             return Err(Error::Codec(format!("implausible block size {n}")));
         }
-        let mut txs = Vec::with_capacity(n);
-        let mut validity = Vec::with_capacity(n);
+        let cap = dec.capacity_for(n, MIN_BLOCK_ENTRY_BYTES);
+        let mut txs = Vec::with_capacity(cap);
+        let mut validity = Vec::with_capacity(cap);
         for _ in 0..n {
             txs.push(decode_tx(dec)?);
             validity.push(code_from_u8(dec.get_u8()?)?);
         }
         let block = Block {
             header: BlockHeader { number, prev_hash: Digest(prev), data_hash: Digest(data) },
-            txs,
+            txs: txs.into(),
         };
         CommittedBlock::new(block, validity)
     }
@@ -262,13 +312,16 @@ mod tests {
         let block = Block::build(1, Digest::ZERO, txs);
         assert!(block.verify_data_hash());
 
-        let mut tampered = block.clone();
-        tampered.txs[0].rwset = rwset_from_keys(
+        // A sealed block is immutable: forge one from a copy of its
+        // transactions under the original header.
+        let mut txs = block.txs.to_vec();
+        txs[0].rwset = rwset_from_keys(
             &[],
             Version::GENESIS,
             &[Key::from("evil")],
             &Value::from_i64(666),
         );
+        let tampered = Block { header: block.header, txs: txs.into() };
         assert!(!tampered.verify_data_hash());
     }
 

@@ -245,9 +245,13 @@ mod tests {
     #[test]
     fn tampered_data_hash_rejected() {
         let ledger = Ledger::new();
-        let mut block = next_block(&ledger, vec![tx(1)]);
-        block.txs.push(tx(99)); // contents no longer match data_hash
-        let cb = CommittedBlock::new(block, vec![ValidationCode::Valid; 2]).unwrap();
+        let block = next_block(&ledger, vec![tx(1)]);
+        // A sealed block is immutable: forge one from a copy of its
+        // transactions under the original header.
+        let mut txs = block.txs.to_vec();
+        txs.push(tx(99)); // contents no longer match data_hash
+        let forged = Block { header: block.header, txs: txs.into() };
+        let cb = CommittedBlock::new(forged, vec![ValidationCode::Valid; 2]).unwrap();
         assert!(matches!(ledger.append(cb), Err(Error::Corruption(_))));
     }
 

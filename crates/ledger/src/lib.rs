@@ -21,6 +21,6 @@ pub mod block;
 pub mod filestore;
 pub mod ledger;
 
-pub use block::{Block, BlockHeader, CommittedBlock};
+pub use block::{Block, BlockHeader, BlockTxs, CommittedBlock};
 pub use filestore::{FileBlockStore, RecoveredLog};
 pub use ledger::{HistoryEntry, Ledger};

@@ -327,7 +327,6 @@ impl Peer {
     /// and policy — so it may run for block N+1 while block N is still
     /// committing under the state gate.
     pub fn begin_block_validation(&self, block: Block) -> PendingBlock {
-        let block = Arc::new(block);
         let checks = self.pool.check_endorsements(&block, &self.registry, &self.policy, self.cost);
         PendingBlock { block, checks, begun: Instant::now() }
     }
@@ -396,7 +395,6 @@ impl Peer {
             });
         }
 
-        let block = Arc::try_unwrap(block).unwrap_or_else(|b| (*b).clone());
         let t0 = Instant::now();
         let committed = match &self.lanes {
             Some(sched) => commit_block_traced_lanes(
@@ -439,7 +437,7 @@ impl Peer {
 ///
 /// Dropping it (e.g. the target peer is down) simply abandons the checks.
 pub struct PendingBlock {
-    block: Arc<Block>,
+    block: Block,
     checks: PendingChecks,
     begun: Instant,
 }

@@ -20,7 +20,6 @@
 //! schedules and digests are unchanged.
 
 use std::ops::Range;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
@@ -105,7 +104,7 @@ impl ValidationPool {
     /// [`crate::validator::mvcc_validate`].
     pub fn check_endorsements(
         &self,
-        block: &Arc<Block>,
+        block: &Block,
         registry: &SignerRegistry,
         policy: &EndorsementPolicy,
         cost: CostModel,
@@ -133,12 +132,12 @@ impl ValidationPool {
                 let chunks = ranges.len();
                 let (res_tx, res_rx) = unbounded::<(usize, Vec<bool>)>();
                 for range in ranges {
-                    let block = Arc::clone(block);
+                    let txs = block.txs.clone();
                     let registry = registry.clone();
                     let policy = policy.clone();
                     let res_tx = res_tx.clone();
                     let job: Job = Box::new(move || {
-                        let out: Vec<bool> = block.txs[range.clone()]
+                        let out: Vec<bool> = txs[range.clone()]
                             .iter()
                             .map(|tx| check_endorsement(tx, &registry, &policy, cost))
                             .collect();
@@ -361,7 +360,7 @@ mod tests {
     #[test]
     fn threaded_pool_matches_sequential_on_empty_block() {
         let pool = ValidationPool::threaded(4);
-        let block = Arc::new(Block::build(1, Digest::ZERO, vec![]));
+        let block = Block::build(1, Digest::ZERO, vec![]);
         let got = pool.check_endorsements(&block, &registry(), &policy(), CostModel::raw()).wait();
         assert!(got.is_empty());
     }
@@ -375,7 +374,7 @@ mod tests {
         for round in 0..10 {
             let txs: Vec<Transaction> =
                 (0..round + 1).map(|i| mk_tx(TxKind::Good, i as u64)).collect();
-            let block = Arc::new(Block::build(1, Digest::ZERO, txs));
+            let block = Block::build(1, Digest::ZERO, txs);
             let got = pool.check_endorsements(&block, &reg, &pol, CostModel::raw()).wait();
             assert_eq!(got, vec![true; round + 1]);
         }
@@ -385,7 +384,7 @@ mod tests {
     fn dropping_pending_checks_is_harmless() {
         let pool = ValidationPool::threaded(2);
         let txs: Vec<Transaction> = (0..8).map(|i| mk_tx(TxKind::Good, i)).collect();
-        let block = Arc::new(Block::build(1, Digest::ZERO, txs));
+        let block = Block::build(1, Digest::ZERO, txs);
         let pending = pool.check_endorsements(&block, &registry(), &policy(), CostModel::raw());
         drop(pending); // workers finish and discard their sends
         // The pool remains usable afterwards.
@@ -397,7 +396,7 @@ mod tests {
     fn sequential_mode_reports_one_worker_and_computes_eagerly() {
         let pool = ValidationPool::sequential();
         assert_eq!(pool.workers(), 1);
-        let block = Arc::new(Block::build(1, Digest::ZERO, vec![mk_tx(TxKind::Good, 0)]));
+        let block = Block::build(1, Digest::ZERO, vec![mk_tx(TxKind::Good, 0)]);
         let got = pool.check_endorsements(&block, &registry(), &policy(), CostModel::raw()).wait();
         assert_eq!(got, vec![true]);
     }
@@ -414,7 +413,7 @@ mod tests {
         ) {
             let txs: Vec<Transaction> =
                 kinds.iter().enumerate().map(|(i, &kd)| mk_tx(kd, i as u64)).collect();
-            let block = Arc::new(Block::build(1, Digest::ZERO, txs));
+            let block = Block::build(1, Digest::ZERO, txs);
             let reg = registry();
             let pol = policy();
             let store = MemStateDb::with_genesis([(k("balA"), Value::from_i64(100))]);

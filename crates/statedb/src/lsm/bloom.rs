@@ -82,7 +82,7 @@ impl Decode for BloomFilter {
                 "inconsistent bloom header: nbits={nbits} k={k} words={nwords}"
             )));
         }
-        let mut bits = Vec::with_capacity(nwords);
+        let mut bits = Vec::with_capacity(dec.capacity_for(nwords, 8));
         for _ in 0..nwords {
             bits.push(dec.get_u64()?);
         }

@@ -18,6 +18,12 @@ pub struct DiskEntry {
     pub version: Version,
 }
 
+impl DiskEntry {
+    /// Smallest encoding of one entry: an empty key, a tombstone tag and
+    /// the version — the bound decoders size their pre-allocation by.
+    pub const MIN_ENCODED_LEN: usize = 4 + 1 + 8 + 4;
+}
+
 const TAG_TOMBSTONE: u8 = 0;
 const TAG_PUT: u8 = 1;
 

@@ -166,7 +166,8 @@ impl SsTableReader {
         file.read_exact(&mut meta)?;
         let mut dec = Decoder::new(&meta);
         let n = dec.get_u32()? as usize;
-        let mut index = Vec::with_capacity(n);
+        // An index entry is at least a key length prefix and an offset.
+        let mut index = Vec::with_capacity(dec.capacity_for(n, 4 + 8));
         for _ in 0..n {
             let key = Key::new(dec.get_bytes()?.to_vec());
             let off = dec.get_u64()?;
@@ -227,7 +228,8 @@ impl SsTableReader {
             f.read_exact(&mut buf)?;
         }
         let mut dec = Decoder::new(&buf);
-        let mut out = Vec::with_capacity(self.entry_count as usize);
+        let cap = dec.capacity_for(self.entry_count as usize, DiskEntry::MIN_ENCODED_LEN);
+        let mut out = Vec::with_capacity(cap);
         while dec.remaining() > 0 {
             out.push(DiskEntry::decode(&mut dec)?);
         }

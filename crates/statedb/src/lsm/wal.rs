@@ -167,7 +167,7 @@ pub fn replay(path: &Path) -> Result<Vec<WalRecord>> {
         let mut dec = Decoder::new(payload);
         let block = dec.get_u64()?;
         let count = dec.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(dec.capacity_for(count, DiskEntry::MIN_ENCODED_LEN));
         for _ in 0..count {
             entries.push(DiskEntry::decode(&mut dec)?);
         }
